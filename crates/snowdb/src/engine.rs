@@ -1069,7 +1069,7 @@ impl Database {
         schema: &[ColumnDef],
         pred: Option<&PExpr>,
         gov: &QueryGovernor,
-    ) -> Result<(Vec<bool>, Vec<Arc<crate::storage::ColumnData>>)> {
+    ) -> Result<(Vec<bool>, Vec<Arc<crate::exec::ColumnVec>>)> {
         let rows = part.row_count();
         let mut cols = Vec::with_capacity(schema.len());
         for i in 0..schema.len() {
@@ -1095,16 +1095,10 @@ impl Database {
 
     fn partition_chunk(
         &self,
-        cols: &[Arc<crate::storage::ColumnData>],
+        cols: &[Arc<crate::exec::ColumnVec>],
         rows: usize,
     ) -> crate::exec::Chunk {
-        crate::exec::Chunk {
-            cols: cols
-                .iter()
-                .map(|c| crate::exec::ColumnVec::from_column_data(c, 0, rows, false))
-                .collect(),
-            rows,
-        }
+        crate::exec::Chunk { cols: cols.iter().map(|c| c.decoded()).collect(), rows }
     }
 
     /// Seals rows into fresh partitions through the standard builder path

@@ -1,27 +1,32 @@
-//! Typed column vectors for execution batches.
+//! Typed column vectors: the one column representation from partition to
+//! kernel.
 //!
-//! Storage already shreds declared columns into typed vectors
-//! ([`ColumnData`]); before this module the executor un-did that work at the
-//! scan boundary by boxing every cell into a [`Variant`]. [`ColumnVec`] keeps
-//! the shredded representation flowing through the whole pipeline: a batch
-//! column is a dense typed vector plus a validity bitmap, and only genuinely
-//! mixed data pays for boxed `Variant` storage.
+//! Storage shreds declared columns into [`ColumnVec`]s once, when a
+//! micro-partition is sealed or a partition file block is decoded; zone
+//! maps, statistics, the encode-if-smaller policy, the partition file writer
+//! and the buffer cache all hold that same value. A scan hands each batch
+//! a [`ColumnVec::slice`] of it — values copied contiguously, validity
+//! sliced a word at a time, dictionary codes sharing the dictionary `Arc`,
+//! run ends re-based — and only genuinely mixed data pays for boxed
+//! `Variant` storage.
 //!
 //! ## Adaptivity contract
 //!
-//! A `ColumnVec` starts as [`ColumnVec::Null`] (an untyped run of NULLs) and
-//! commits to the type of the first non-null value pushed into it. When a
-//! later value does not match the committed type the column *promotes* to
-//! [`ColumnVec::Var`] — values are re-boxed, never coerced, so
-//! `col.push(v); col.get(col.len() - 1)` always returns exactly `v`. This
-//! mirrors the storage-side rule of [`ColumnData::push`] but is stricter: the
+//! A `ColumnVec` built by the executor starts as [`ColumnVec::Null`] (an
+//! untyped run of NULLs) and commits to the type of the first non-null value
+//! pushed into it; storage starts from a typed [`ColumnVec::empty`] instead.
+//! When a later value does not match the committed type the column
+//! *promotes* to [`ColumnVec::Var`] — values are re-boxed, never coerced, so
+//! `col.push(v); col.get(col.len() - 1)` always returns exactly `v`. The
 //! executor never cross-promotes Int↔Float, because expression semantics
-//! (e.g. `TYPEOF`, integer overflow promotion) can observe the difference.
+//! (e.g. `TYPEOF`, integer overflow promotion) can observe the difference;
+//! only storage's [`shred_push`](crate::storage::shred_push) converts
+//! losslessly between the two before pushing.
 
 use std::sync::Arc;
 
 use crate::storage::encode::{run_index, NULL_CODE};
-use crate::storage::ColumnData;
+use crate::storage::ColumnType;
 use crate::variant::{Key, Variant};
 
 /// Validity bitmap: bit `i` set means row `i` holds a value (not NULL).
@@ -40,6 +45,41 @@ impl Bitmap {
     /// Bitmap of `n` cleared (NULL) bits.
     pub fn nulls(n: usize) -> Bitmap {
         Bitmap { blocks: vec![0; n.div_ceil(64)], len: n }
+    }
+
+    /// Bitmap of `len` bits packed little-endian in `bytes` (bit `i` is bit
+    /// `i % 8` of byte `i / 8`), the layout partition files store validity
+    /// in. Bits at or beyond `len` are cleared, so `count_valid` stays exact
+    /// whatever the padding bits of the last byte hold. Panics when `bytes`
+    /// is shorter than `len.div_ceil(8)`.
+    pub fn from_le_bytes(bytes: &[u8], len: usize) -> Bitmap {
+        let mut blocks: Vec<u64> = bytes[..len.div_ceil(8)]
+            .chunks(8)
+            .map(|chunk| {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                u64::from_le_bytes(word)
+            })
+            .collect();
+        clear_tail(&mut blocks, len);
+        Bitmap { blocks, len }
+    }
+
+    /// Bits `lo..hi` as a new bitmap, copied a word at a time.
+    pub fn slice(&self, lo: usize, hi: usize) -> Bitmap {
+        debug_assert!(lo <= hi && hi <= self.len);
+        let (first, shift) = (lo / 64, lo % 64);
+        let mut blocks: Vec<u64> = (first..first + (hi - lo).div_ceil(64))
+            .map(|w| {
+                let next = match shift {
+                    0 => 0,
+                    s => self.blocks.get(w + 1).map_or(0, |b| b << (64 - s)),
+                };
+                self.blocks[w] >> shift | next
+            })
+            .collect();
+        clear_tail(&mut blocks, hi - lo);
+        Bitmap { blocks, len: hi - lo }
     }
 
     /// Number of bits.
@@ -88,28 +128,41 @@ impl Bitmap {
             return;
         }
         self.blocks.truncate(n.div_ceil(64));
-        if !n.is_multiple_of(64) {
-            let last = self.blocks.len() - 1;
-            self.blocks[last] &= (1u64 << (n % 64)) - 1;
-        }
+        clear_tail(&mut self.blocks, n);
         self.len = n;
     }
 
-    /// Splits off the bits at `at..` into a new bitmap. Batches are at most a
-    /// few thousand bits, so the bit-at-a-time copy is not a hot path.
+    /// Splits off the bits at `at..` into a new bitmap.
     pub fn split_off(&mut self, at: usize) -> Bitmap {
-        let mut tail = Bitmap::new();
-        for i in at..self.len {
-            tail.push(self.get(i));
-        }
+        let tail = self.slice(at, self.len);
         self.truncate(at);
         tail
     }
 
-    /// Appends all bits of `other`.
+    /// Appends all bits of `other`, a word at a time.
     pub fn extend_from(&mut self, other: &Bitmap) {
-        for i in 0..other.len {
-            self.push(other.get(i));
+        let shift = self.len % 64;
+        let words = &other.blocks[..other.len.div_ceil(64)];
+        if shift == 0 {
+            self.blocks.extend_from_slice(words);
+        } else {
+            for &w in words {
+                *self.blocks.last_mut().expect("a partial word exists") |= w << shift;
+                self.blocks.push(w >> (64 - shift));
+            }
+        }
+        self.len += other.len;
+        // Words pushed for `other`'s zero tail bits may lie past the end.
+        self.blocks.truncate(self.len.div_ceil(64));
+    }
+}
+
+/// Clears the bits at or beyond `len` in the last of `len.div_ceil(64)`
+/// words, the invariant `count_valid` relies on.
+fn clear_tail(blocks: &mut [u64], len: usize) {
+    if !len.is_multiple_of(64) {
+        if let Some(last) = blocks.last_mut() {
+            *last &= (1u64 << (len % 64)) - 1;
         }
     }
 }
@@ -152,6 +205,34 @@ impl ColumnVec {
     /// Empty untyped column.
     pub fn new() -> ColumnVec {
         ColumnVec::Null(0)
+    }
+
+    /// Empty column committed to the storage type `ty`: the starting point
+    /// of every storage-built column, which is therefore never `Null(n)`.
+    pub fn empty(ty: ColumnType) -> ColumnVec {
+        match ty {
+            ColumnType::Int => ColumnVec::Int { vals: Vec::new(), valid: Bitmap::new() },
+            ColumnType::Float => ColumnVec::Float { vals: Vec::new(), valid: Bitmap::new() },
+            ColumnType::Bool => ColumnVec::Bool { vals: Vec::new(), valid: Bitmap::new() },
+            ColumnType::Str => ColumnVec::Str(Vec::new()),
+            ColumnType::Variant => ColumnVec::Var(Vec::new()),
+        }
+    }
+
+    /// The storage type the column holds. Encoded columns report their
+    /// logical type; an untyped NULL run and boxed values are `Variant`.
+    /// For a column promoted mid-ingest this is `Variant` regardless of the
+    /// declared schema type — persistence records the *actual* type so the
+    /// decoder reads back what was encoded.
+    pub fn column_type(&self) -> ColumnType {
+        match self {
+            ColumnVec::Int { .. } => ColumnType::Int,
+            ColumnVec::Float { .. } => ColumnType::Float,
+            ColumnVec::Bool { .. } => ColumnType::Bool,
+            ColumnVec::Str(_) | ColumnVec::DictStr { .. } => ColumnType::Str,
+            ColumnVec::Runs { values, .. } => values.column_type(),
+            ColumnVec::Null(_) | ColumnVec::Var(_) => ColumnType::Variant,
+        }
     }
 
     /// Number of rows.
@@ -693,99 +774,37 @@ impl ColumnVec {
         }
     }
 
-    /// Materializes rows `lo..hi` of a storage column without boxing: typed
-    /// storage vectors land in the matching typed representation. This is the
-    /// scan boundary that used to un-shred every batch.
-    ///
-    /// `encode` controls what happens to encoded storage blocks: `true` keeps
-    /// them encoded (codes are sliced, the dictionary `Arc` is shared, runs
-    /// are re-based) so kernels can execute on the encoding; `false` decodes
-    /// eagerly at the scan — the reference behaviour the encoded path must
-    /// match bit for bit.
-    pub fn from_column_data(
-        data: &ColumnData,
-        lo: usize,
-        hi: usize,
-        encode: bool,
-    ) -> ColumnVec {
-        match data {
-            ColumnData::Int(v) => {
-                let mut vals = Vec::with_capacity(hi - lo);
-                let mut valid = Bitmap::new();
-                for x in &v[lo..hi] {
-                    vals.push(x.unwrap_or(0));
-                    valid.push(x.is_some());
-                }
-                ColumnVec::Int { vals, valid }
+    /// Rows `lo..hi` as a new column of the same representation: values
+    /// are copied contiguously, validity is sliced a word at a time,
+    /// dictionary codes keep sharing the dictionary `Arc`, and runs are
+    /// re-based to the slice. This is the scan boundary; a scan that
+    /// executes decoded follows it with [`ColumnVec::decode_in_place`].
+    pub fn slice(&self, lo: usize, hi: usize) -> ColumnVec {
+        match self {
+            ColumnVec::Null(_) => ColumnVec::Null(hi - lo),
+            ColumnVec::Int { vals, valid } => {
+                ColumnVec::Int { vals: vals[lo..hi].to_vec(), valid: valid.slice(lo, hi) }
             }
-            ColumnData::Float(v) => {
-                let mut vals = Vec::with_capacity(hi - lo);
-                let mut valid = Bitmap::new();
-                for x in &v[lo..hi] {
-                    vals.push(x.unwrap_or(0.0));
-                    valid.push(x.is_some());
-                }
-                ColumnVec::Float { vals, valid }
+            ColumnVec::Float { vals, valid } => {
+                ColumnVec::Float { vals: vals[lo..hi].to_vec(), valid: valid.slice(lo, hi) }
             }
-            ColumnData::Bool(v) => {
-                let mut vals = Vec::with_capacity(hi - lo);
-                let mut valid = Bitmap::new();
-                for x in &v[lo..hi] {
-                    vals.push(x.unwrap_or(false));
-                    valid.push(x.is_some());
-                }
-                ColumnVec::Bool { vals, valid }
+            ColumnVec::Bool { vals, valid } => {
+                ColumnVec::Bool { vals: vals[lo..hi].to_vec(), valid: valid.slice(lo, hi) }
             }
-            ColumnData::Str(v) => ColumnVec::Str(v[lo..hi].to_vec()),
-            ColumnData::DictStr { codes, dict } => {
-                if encode {
-                    ColumnVec::DictStr { codes: codes[lo..hi].to_vec(), dict: dict.clone() }
-                } else {
-                    ColumnVec::Str(
-                        codes[lo..hi]
-                            .iter()
-                            .map(|&c| {
-                                (c != NULL_CODE).then(|| dict[c as usize].clone())
-                            })
-                            .collect(),
-                    )
-                }
+            ColumnVec::Str(v) => ColumnVec::Str(v[lo..hi].to_vec()),
+            ColumnVec::DictStr { codes, dict } => {
+                ColumnVec::DictStr { codes: codes[lo..hi].to_vec(), dict: dict.clone() }
             }
-            ColumnData::Runs { ends, values } => {
+            ColumnVec::Runs { ends, values } => {
                 let lo_r = run_index(ends, lo);
-                if encode {
-                    let hi_r =
-                        if hi == lo { lo_r } else { run_index(ends, hi - 1) + 1 };
-                    let new_ends: Vec<u32> = ends[lo_r..hi_r]
-                        .iter()
-                        .map(|&e| (e as usize).min(hi) as u32 - lo as u32)
-                        .collect();
-                    let vals =
-                        ColumnVec::from_column_data(values, lo_r, hi_r, encode);
-                    ColumnVec::Runs { ends: new_ends, values: Box::new(vals) }
-                } else {
-                    // Decode run-by-run: one boxed value per run, typed rows.
-                    let mut out = ColumnVec::new();
-                    let mut row = lo;
-                    for (r, &e) in ends.iter().enumerate().skip(lo_r) {
-                        if row >= hi {
-                            break;
-                        }
-                        let end = (e as usize).min(hi);
-                        let v = values.get(r);
-                        if v.is_null() {
-                            out.push_nulls(end - row);
-                        } else {
-                            for _ in row..end {
-                                out.push(v.clone());
-                            }
-                        }
-                        row = end;
-                    }
-                    out
-                }
+                let hi_r = if hi == lo { lo_r } else { run_index(ends, hi - 1) + 1 };
+                let ends = ends[lo_r..hi_r]
+                    .iter()
+                    .map(|&e| (e as usize).min(hi) as u32 - lo as u32)
+                    .collect();
+                ColumnVec::Runs { ends, values: Box::new(values.slice(lo_r, hi_r)) }
             }
-            ColumnData::Variant(v) => ColumnVec::Var(v[lo..hi].to_vec()),
+            ColumnVec::Var(v) => ColumnVec::Var(v[lo..hi].to_vec()),
         }
     }
 
@@ -970,37 +989,99 @@ mod tests {
         assert_eq!(m.get(1), Variant::str("x"));
     }
 
+    /// Bit-at-a-time reference for the word-level bitmap operations.
+    fn bits(b: &Bitmap) -> Vec<bool> {
+        (0..b.len()).map(|i| b.get(i)).collect()
+    }
+
     #[test]
-    fn from_column_data_stays_typed() {
-        let data = ColumnData::Float(vec![Some(1.5), None, Some(2.5), Some(3.5)]);
-        let c = ColumnVec::from_column_data(&data, 1, 4, true);
+    fn bitmap_slice_split_extend_match_bitwise_reference() {
+        let pattern: Vec<bool> = (0..130u64).map(|i| (i * 2654435761) >> 7 & 1 == 1).collect();
+        let mut full = Bitmap::new();
+        for &b in &pattern {
+            full.push(b);
+        }
+        for lo in 0..=130 {
+            for hi in lo..=130 {
+                let s = full.slice(lo, hi);
+                assert_eq!(bits(&s), pattern[lo..hi], "slice {lo}..{hi}");
+                let valid = pattern[lo..hi].iter().filter(|&&b| b).count();
+                assert_eq!(s.count_valid(), valid, "count_valid of {lo}..{hi}");
+                // Appending the tail slice back onto the head restores the
+                // range, whatever the alignment of either side.
+                let mut head = full.slice(0, lo);
+                head.extend_from(&s);
+                assert_eq!(bits(&head), pattern[..hi], "extend {lo}..{hi}");
+                assert_eq!(head.count_valid(), pattern[..hi].iter().filter(|&&b| b).count());
+            }
+            let mut head = full.clone();
+            let tail = head.split_off(lo);
+            assert_eq!(bits(&head), pattern[..lo], "split_off head {lo}");
+            assert_eq!(bits(&tail), pattern[lo..], "split_off tail {lo}");
+        }
+    }
+
+    #[test]
+    fn bitmap_from_le_bytes_clears_padding_bits() {
+        let b = Bitmap::from_le_bytes(&[0b1111_0101, 0xFF, 0xFF], 11);
+        assert_eq!(b.len(), 11);
+        assert_eq!(
+            bits(&b),
+            [true, false, true, false, true, true, true, true, true, true, true]
+        );
+        assert_eq!(b.count_valid(), 9);
+        assert!(Bitmap::from_le_bytes(&[], 0).is_empty());
+    }
+
+    /// The scan boundary: a slice, decoded when the scan executes decoded.
+    fn scan(data: &ColumnVec, lo: usize, hi: usize, encode: bool) -> ColumnVec {
+        let mut col = data.slice(lo, hi);
+        if !encode {
+            col.decode_in_place();
+        }
+        col
+    }
+
+    #[test]
+    fn slice_stays_typed() {
+        let data = ColumnVec::from_variants(vec![
+            Variant::Float(1.5),
+            Variant::Null,
+            Variant::Float(2.5),
+            Variant::Float(3.5),
+        ]);
+        let c = scan(&data, 1, 4, true);
         assert!(matches!(c, ColumnVec::Float { .. }));
         assert_eq!(c.len(), 3);
         assert!(c.is_null_at(0));
         assert_eq!(c.get(2), Variant::Float(3.5));
     }
 
-    fn dict_data() -> ColumnData {
+    fn dict_data() -> ColumnVec {
         let dict: Vec<Arc<str>> = vec![Arc::from("a"), Arc::from("b")];
-        ColumnData::DictStr {
+        ColumnVec::DictStr {
             codes: vec![0, 1, NULL_CODE, 0, 1, 1],
             dict: Arc::new(dict),
         }
     }
 
-    fn runs_data() -> ColumnData {
-        ColumnData::Runs {
+    fn runs_data() -> ColumnVec {
+        ColumnVec::Runs {
             ends: vec![3, 5, 9],
-            values: Box::new(ColumnData::Int(vec![Some(7), None, Some(9)])),
+            values: Box::new(ColumnVec::from_variants(vec![
+                Variant::Int(7),
+                Variant::Null,
+                Variant::Int(9),
+            ])),
         }
     }
 
     #[test]
-    fn from_column_data_keeps_or_decodes_encodings() {
+    fn slice_keeps_or_decodes_encodings() {
         let d = dict_data();
-        let enc = ColumnVec::from_column_data(&d, 1, 5, true);
+        let enc = scan(&d, 1, 5, true);
         assert!(matches!(enc, ColumnVec::DictStr { .. }));
-        let dec = ColumnVec::from_column_data(&d, 1, 5, false);
+        let dec = scan(&d, 1, 5, false);
         assert!(matches!(dec, ColumnVec::Str(_)));
         for i in 0..4 {
             assert_eq!(enc.get(i), dec.get(i), "row {i}");
@@ -1009,10 +1090,10 @@ mod tests {
         }
 
         let r = runs_data();
-        let enc = ColumnVec::from_column_data(&r, 2, 8, true);
+        let enc = scan(&r, 2, 8, true);
         assert!(matches!(enc, ColumnVec::Runs { .. }));
         assert_eq!(enc.len(), 6);
-        let dec = ColumnVec::from_column_data(&r, 2, 8, false);
+        let dec = scan(&r, 2, 8, false);
         assert!(matches!(dec, ColumnVec::Int { .. }));
         for i in 0..6 {
             assert_eq!(enc.get(i), dec.get(i), "row {i}");
@@ -1022,14 +1103,14 @@ mod tests {
 
     #[test]
     fn encoded_columns_decode_on_mutation_and_stay_equal() {
-        let mut c = ColumnVec::from_column_data(&dict_data(), 0, 6, true);
+        let mut c = scan(&dict_data(), 0, 6, true);
         c.push(Variant::str("z"));
         assert!(matches!(c, ColumnVec::Str(_)));
         assert_eq!(c.get(1), Variant::str("b"));
         assert_eq!(c.get(6), Variant::str("z"));
         assert!(c.is_null_at(2));
 
-        let mut r = ColumnVec::from_column_data(&runs_data(), 0, 9, true);
+        let mut r = scan(&runs_data(), 0, 9, true);
         r.push(Variant::Int(42));
         assert!(matches!(r, ColumnVec::Int { .. }));
         assert_eq!(r.get(0), Variant::Int(7));
@@ -1040,7 +1121,7 @@ mod tests {
     #[test]
     fn encoded_split_truncate_gather_match_decoded() {
         for at in 0..=9 {
-            let mut enc = ColumnVec::from_column_data(&runs_data(), 0, 9, true);
+            let mut enc = scan(&runs_data(), 0, 9, true);
             let mut dec = enc.decoded();
             let enc_tail = enc.split_off(at);
             let dec_tail = dec.split_off(at);
@@ -1054,7 +1135,7 @@ mod tests {
             }
         }
         for n in 0..=9 {
-            let mut enc = ColumnVec::from_column_data(&runs_data(), 0, 9, true);
+            let mut enc = scan(&runs_data(), 0, 9, true);
             let dec = enc.decoded();
             enc.truncate(n);
             assert_eq!(enc.len(), n, "truncate {n}");
@@ -1062,7 +1143,7 @@ mod tests {
                 assert_eq!(enc.get(i), dec.get(i), "row {i} after truncate {n}");
             }
         }
-        let enc = ColumnVec::from_column_data(&dict_data(), 0, 6, true);
+        let enc = scan(&dict_data(), 0, 6, true);
         let g = enc.gather(&[5, 2, 0]);
         assert!(matches!(g, ColumnVec::DictStr { .. }));
         assert_eq!(g.get(0), Variant::str("b"));
@@ -1070,7 +1151,7 @@ mod tests {
         let go = enc.gather_opt(&[Some(1), None]);
         assert_eq!(go.get(0), Variant::str("b"));
         assert!(go.is_null_at(1));
-        let r = ColumnVec::from_column_data(&runs_data(), 0, 9, true);
+        let r = scan(&runs_data(), 0, 9, true);
         let rg = r.gather(&[8, 4, 0]);
         assert!(matches!(rg, ColumnVec::Int { .. }));
         assert_eq!(rg.get(0), Variant::Int(9));
@@ -1081,8 +1162,8 @@ mod tests {
     #[test]
     fn dict_append_shares_dictionary_and_push_from_stays_on_codes() {
         let data = dict_data();
-        let mut a = ColumnVec::from_column_data(&data, 0, 3, true);
-        let b = ColumnVec::from_column_data(&data, 3, 6, true);
+        let mut a = scan(&data, 0, 3, true);
+        let b = scan(&data, 3, 6, true);
         // Same dict Arc: append stays on codes.
         a.append(b.clone());
         assert!(matches!(a, ColumnVec::DictStr { .. }));
@@ -1097,7 +1178,7 @@ mod tests {
         assert_eq!(dst.get(1), Variant::str("a"));
         // approx_bytes charges the encoded footprint, not materialized
         // strings.
-        let enc = ColumnVec::from_column_data(&dict_data(), 0, 6, true);
+        let enc = scan(&dict_data(), 0, 6, true);
         assert!(enc.approx_bytes() < enc.decoded().approx_bytes());
     }
 

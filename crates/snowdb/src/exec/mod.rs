@@ -164,17 +164,11 @@ pub fn execute(node: &Node, ctx: &mut ExecCtx) -> Result<Chunk> {
                     if materialize[i] {
                         let read = part.read_column_governed(i, &ctx.gov, "Scan")?;
                         ctx.stats.record_read(&read);
-                        let data = read.data;
-                        // Shredded storage lands in the matching typed
-                        // representation — no per-value boxing. The serial
-                        // executor always decodes encoded blocks here: it is
-                        // the reference the encoded path is verified against.
-                        out.append(ColumnVec::from_column_data(
-                            &data,
-                            0,
-                            data.len(),
-                            false,
-                        ));
+                        // Partition columns already are typed ColumnVecs — no
+                        // per-value boxing. The serial executor always
+                        // decodes encoded blocks here: it is the reference
+                        // the encoded path is verified against.
+                        out.append(read.data.decoded());
                     } else {
                         // Unreferenced columns are never read; fill with nulls
                         // to keep positional addressing intact.

@@ -311,8 +311,7 @@ fn exec_scan(
             // in-memory partitions hand back shared column vectors, disk
             // partitions lazily read exactly the projected blocks (through
             // the buffer cache), so skipped columns cost zero file bytes.
-            let mut data: Vec<Option<std::sync::Arc<crate::storage::ColumnData>>> =
-                vec![None; arity];
+            let mut data: Vec<Option<std::sync::Arc<ColumnVec>>> = vec![None; arity];
             for (i, m) in materialize.iter().enumerate() {
                 if *m {
                     let read = part.read_column_governed(i, &wctx.gov, &op)?;
@@ -331,13 +330,17 @@ fn exec_scan(
                 wctx.gov.checkpoint(&op)?;
                 let start = Instant::now();
                 let hi = (lo + BATCH_ROWS).min(n);
-                // Shredded storage columns transfer into typed ColumnVecs
-                // directly — values are never boxed into per-row Variants on
-                // the way into the pipeline.
+                // Partition columns already are ColumnVecs: a batch is a
+                // slice of each, decoded only when the scan executes
+                // decoded — values are never boxed on the way in.
                 let mut cols: Vec<ColumnVec> = Vec::with_capacity(arity);
                 for src in data.iter().take(arity) {
                     if let Some(data) = src {
-                        cols.push(ColumnVec::from_column_data(data, lo, hi, encode));
+                        let mut col = data.slice(lo, hi);
+                        if !encode {
+                            col.decode_in_place();
+                        }
+                        cols.push(col);
                     } else {
                         // Unreferenced columns are never read; fill with nulls
                         // to keep positional addressing intact.

@@ -22,7 +22,8 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use super::{ColumnData, ScanSource};
+use super::ScanSource;
+use crate::exec::column::ColumnVec;
 use crate::variant::{cmp_variants, Variant};
 
 /// Sketch size: distinct counts up to `KMV_K` are exact; beyond, the estimate
@@ -183,7 +184,7 @@ pub struct ColumnStats {
 impl ColumnStats {
     /// Computes statistics for a sealed column. One sort of the non-null
     /// values per column per partition — seal-time work, never query-time.
-    pub fn build(col: &ColumnData) -> ColumnStats {
+    pub fn build(col: &ColumnVec) -> ColumnStats {
         let rows = col.len() as u64;
         let mut nulls = 0u64;
         let mut ndv = KmvSketch::new();
@@ -343,10 +344,10 @@ mod tests {
     use super::*;
     use crate::storage::ColumnType;
 
-    fn int_column(vals: impl IntoIterator<Item = i64>) -> ColumnData {
-        let mut c = ColumnData::empty(ColumnType::Int);
+    fn int_column(vals: impl IntoIterator<Item = i64>) -> ColumnVec {
+        let mut c = ColumnVec::empty(ColumnType::Int);
         for v in vals {
-            c.push(&Variant::Int(v));
+            c.push(Variant::Int(v));
         }
         c
     }
@@ -414,8 +415,8 @@ mod tests {
     #[test]
     fn column_stats_counts_and_histogram() {
         let mut c = int_column(0..100);
-        c.push(&Variant::Null);
-        c.push(&Variant::Null);
+        c.push(Variant::Null);
+        c.push(Variant::Null);
         let s = ColumnStats::build(&c);
         assert_eq!(s.rows, 102);
         assert_eq!(s.nulls, 2);
@@ -450,11 +451,11 @@ mod tests {
 
     #[test]
     fn array_fanout_tracked_for_variant_columns() {
-        let mut c = ColumnData::empty(ColumnType::Variant);
-        c.push(&Variant::array(vec![Variant::Int(1), Variant::Int(2)]));
-        c.push(&Variant::array(vec![Variant::Int(3)]));
-        c.push(&Variant::array(Vec::new()));
-        c.push(&Variant::Int(9)); // non-array cell
+        let mut c = ColumnVec::empty(ColumnType::Variant);
+        c.push(Variant::array(vec![Variant::Int(1), Variant::Int(2)]));
+        c.push(Variant::array(vec![Variant::Int(3)]));
+        c.push(Variant::array(Vec::new()));
+        c.push(Variant::Int(9)); // non-array cell
         let s = ColumnStats::build(&c);
         assert_eq!(s.array_cells, 3);
         assert_eq!(s.array_elems, 3);

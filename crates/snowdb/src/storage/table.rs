@@ -3,8 +3,9 @@
 use std::sync::{Arc, OnceLock};
 
 use super::stats::{ColumnStats, TableStats};
-use super::{ColumnData, ColumnType, ScanSource, ZoneMap};
+use super::{estimated_size, shred_push, ColumnType, ScanSource, ZoneMap};
 use crate::error::{Result, SnowError};
+use crate::exec::column::ColumnVec;
 use crate::variant::Variant;
 
 /// Default number of rows per micro-partition.
@@ -29,12 +30,12 @@ impl ColumnDef {
 
 /// One immutable horizontal shard of a table, resident in memory.
 ///
-/// Columns are individually `Arc`-shared so a scan can hand a column to an
-/// operator without copying, and so the disk path can cache decoded blocks
-/// under the same representation.
+/// Columns are individually `Arc`-shared [`ColumnVec`]s — the executor's own
+/// representation — so a scan slices them into batches directly, and the
+/// disk path caches decoded blocks as the same type.
 #[derive(Clone, Debug)]
 pub struct MicroPartition {
-    columns: Vec<Arc<ColumnData>>,
+    columns: Vec<Arc<ColumnVec>>,
     zone_maps: Vec<Option<ZoneMap>>,
     stats: Vec<ColumnStats>,
     column_bytes: Vec<u64>,
@@ -42,7 +43,7 @@ pub struct MicroPartition {
 }
 
 impl MicroPartition {
-    pub(crate) fn seal(columns: Vec<ColumnData>) -> MicroPartition {
+    pub(crate) fn seal(columns: Vec<ColumnVec>) -> MicroPartition {
         // Seal-time encoding: each column independently picks the smaller of
         // its plain and encoded representations (dictionary for strings, runs
         // for ints/bools). Everything downstream — zone maps, byte
@@ -61,14 +62,14 @@ impl MicroPartition {
 
     /// Seals pre-shared columns (used by the store when rewriting a table's
     /// partitions without copying the data).
-    pub(crate) fn from_arc_columns(columns: Vec<Arc<ColumnData>>) -> MicroPartition {
+    pub(crate) fn from_arc_columns(columns: Vec<Arc<ColumnVec>>) -> MicroPartition {
         let row_count = columns.first().map_or(0, |c| c.len());
         debug_assert!(columns.iter().all(|c| c.len() == row_count));
         let zone_maps = columns.iter().map(|c| ZoneMap::build(c)).collect();
         // Optimizer statistics (NDV sketch, null fraction, histogram, array
         // fan-out) are computed once here, at seal time, like zone maps.
         let stats = columns.iter().map(|c| ColumnStats::build(c)).collect();
-        let column_bytes = columns.iter().map(|c| c.estimated_size()).collect();
+        let column_bytes = columns.iter().map(|c| estimated_size(c)).collect();
         MicroPartition { columns, zone_maps, stats, column_bytes, row_count }
     }
 
@@ -78,12 +79,12 @@ impl MicroPartition {
     }
 
     /// Column data by position.
-    pub fn column(&self, i: usize) -> &ColumnData {
+    pub fn column(&self, i: usize) -> &ColumnVec {
         self.columns[i].as_ref()
     }
 
     /// Shared handle to column `i`.
-    pub fn column_arc(&self, i: usize) -> Arc<ColumnData> {
+    pub fn column_arc(&self, i: usize) -> Arc<ColumnVec> {
         self.columns[i].clone()
     }
 
@@ -204,7 +205,7 @@ pub struct TableBuilder {
     partition_rows: usize,
     sink: Box<dyn PartitionSink>,
     sealed: Vec<Arc<ScanSource>>,
-    open: Vec<ColumnData>,
+    open: Vec<ColumnVec>,
     open_rows: usize,
     total_rows: usize,
 }
@@ -232,7 +233,7 @@ impl TableBuilder {
         sink: Box<dyn PartitionSink>,
     ) -> TableBuilder {
         assert!(partition_rows > 0, "partition size must be positive");
-        let open = schema.iter().map(|c| ColumnData::empty(c.ty)).collect();
+        let open = schema.iter().map(|c| ColumnVec::empty(c.ty)).collect();
         TableBuilder {
             name: name.into(),
             schema,
@@ -256,7 +257,7 @@ impl TableBuilder {
             )));
         }
         for (col, v) in self.open.iter_mut().zip(row) {
-            col.push(v);
+            shred_push(col, v);
         }
         self.open_rows += 1;
         self.total_rows += 1;
@@ -272,7 +273,7 @@ impl TableBuilder {
         }
         let cols = std::mem::replace(
             &mut self.open,
-            self.schema.iter().map(|c| ColumnData::empty(c.ty)).collect(),
+            self.schema.iter().map(|c| ColumnVec::empty(c.ty)).collect(),
         );
         self.sealed.push(self.sink.flush(MicroPartition::seal(cols))?);
         self.open_rows = 0;

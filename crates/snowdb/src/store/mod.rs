@@ -146,7 +146,7 @@ impl DiskPartition {
         }
         let cm = &self.meta.columns[i];
         let data = Arc::new(format::read_column(&self.path, cm, self.meta.row_count)?);
-        let mem_bytes = data.estimated_size();
+        let mem_bytes = crate::storage::estimated_size(&data);
         let evictions = self.cache.insert(key, data.clone(), mem_bytes);
         gov.charge_memory(mem_bytes, op)?;
         Ok(ColumnRead {

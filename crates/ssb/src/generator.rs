@@ -448,7 +448,8 @@ mod tests {
         assert_eq!(db.table("SUPPLIER").unwrap().row_count(), 5);
         assert_eq!(db.table("PART").unwrap().row_count(), 8);
         // Worst-case raw cross product stays interpreter-feasible.
-        assert!(12 * 18 * 8 * 5 * 8 < 100_000);
+        const CROSS_PRODUCT_ROWS: usize = 12 * 18 * 8 * 5 * 8;
+        const _: () = assert!(CROSS_PRODUCT_ROWS < 100_000);
         // Every lineorder FK resolves against every dimension.
         let r = db
             .query(
