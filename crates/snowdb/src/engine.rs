@@ -617,9 +617,10 @@ impl Database {
         let mut ctx = ExecCtx::worker(gov, vectorize, encode);
         // Last line of panic isolation: a panic escaping the morsel layer's
         // catch_unwind (e.g. one injected at a claim gate) must not cross the
-        // engine boundary. The catalog is only read during execution and all
-        // engine locks are parking_lot (non-poisoning), so unwinding to here
-        // leaves the database fully usable.
+        // engine boundary. The catalog is only read during execution, the
+        // engine's parking_lot locks do not poison, and the store's std
+        // mutexes recover from poisoning (`store::lock`), so unwinding to
+        // here leaves the database fully usable.
         let batches = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pipeline::execute_physical(&phys, &mut ctx)
         }))

@@ -1,8 +1,5 @@
-//! Morsel-parallel batched execution.
-//!
-//! The serial executor in [`super`] materializes every operator's full result
-//! as one [`Chunk`]. This module replaces that at query time with a
-//! partition-parallel physical pipeline:
+//! Morsel-parallel batched execution: the engine's only executor. It runs a
+//! lowered [`PhysNode`] tree as a partition-parallel pipeline:
 //!
 //! - every operator produces an ordered list of batches (≤ [`BATCH_ROWS`]
 //!   rows each) instead of one whole-table chunk;
@@ -20,7 +17,8 @@
 //!
 //! # Determinism contract
 //!
-//! Parallel execution must be *byte-identical* to serial execution:
+//! Parallel execution must be *byte-identical* to serial (one-thread,
+//! row-order) execution:
 //!
 //! - all merges happen in partition/batch index order (the dispatcher hands
 //!   out indices, results are reassembled sorted by index);
@@ -35,7 +33,9 @@
 //! - when several batches fail, the error with the lowest batch index wins —
 //!   the one serial execution would have reported;
 //! - volatile expressions outside projections (a `SEQ8()` in a filter or join
-//!   condition) fall back to the serial reference implementation.
+//!   condition) run on one thread in row order;
+//! - the root of a shared subplan runs once per query and every reference
+//!   reads its spooled batches, so all references see the same row ids.
 //!
 //! # Vectorized execution
 //!
@@ -60,7 +60,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use crate::error::{Result, SnowError};
-use crate::plan::physical::PhysNode;
+use crate::plan::physical::{PhysNode, Spool, Spooled};
 use crate::plan::{AggExpr, AggKind, NodeKind, PExpr, SortKey};
 use crate::sql::JoinKind;
 use crate::storage::morsel::try_parallel_indexed_governed;
@@ -80,10 +80,51 @@ pub const BATCH_ROWS: usize = 4096;
 
 /// Executes a physical plan to completion, returning the ordered batch list.
 ///
-/// Scan statistics accumulate into `ctx.stats` exactly as under the serial
-/// executor (per-worker stats are summed, so `bytes_scanned` and partition
-/// counts are identical for any thread count).
+/// Scan statistics accumulate into `ctx.stats` (per-worker stats are summed
+/// in partition order, so `bytes_scanned` and partition counts are identical
+/// for any thread count).
+///
+/// The root of a shared subplan runs once: its first reference executes the
+/// operator and fills the [`Spool`], and every reference (the first
+/// included) takes its batches from there.
 pub fn execute_physical(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
+    match &p.spool {
+        None => execute_operator(p, ctx),
+        Some(Spooled::First(spool)) => {
+            spool.fill(execute_operator(p, ctx)?);
+            take_spool(p, spool, ctx)
+        }
+        Some(Spooled::Reuse(spool)) => {
+            let batches = take_spool(p, spool, ctx)?;
+            p.metrics.add_output(total_rows(&batches) as u64, batches.len() as u64);
+            Ok(batches)
+        }
+    }
+}
+
+/// Takes one reference's batches from a filled spool. Copies are charged to
+/// the memory budget like any produced batch; the last reference takes the
+/// spooled batches themselves.
+fn take_spool(p: &PhysNode<'_>, spool: &Spool, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
+    ctx.gov.checkpoint("Spool")?;
+    let start = Instant::now();
+    let Some((batches, copied)) = spool.take() else {
+        return Err(SnowError::internal(
+            "Spool",
+            format!("spool #{} read before it was filled", spool.id),
+        ));
+    };
+    if copied {
+        for c in &batches {
+            charge_batch(p, ctx, "Spool", c)?;
+        }
+    }
+    p.metrics.add_busy(start.elapsed());
+    Ok(batches)
+}
+
+/// Executes one operator (its inputs through [`execute_physical`]).
+fn execute_operator(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
     match &p.logical.kind {
         NodeKind::Values => {
             p.metrics.add_output(1, 1);
@@ -217,13 +258,17 @@ fn row_bases(batches: &[Chunk]) -> Vec<usize> {
 /// Walks a `Filter`/`Project` chain down to a `Scan`, returning the scan node
 /// and the stages bottom-up, or `None` when the chain is broken. Volatile
 /// projections are excluded: they need the global row index for `SEQ8()`,
-/// which a streaming fused stage does not know.
+/// which a streaming fused stage does not know. A spooled operator below `p`
+/// breaks the chain too: it must run through [`execute_physical`].
 fn fused_chain<'b, 'a>(
     p: &'b PhysNode<'a>,
 ) -> Option<(&'b PhysNode<'a>, Vec<&'b PhysNode<'a>>)> {
     let mut stages = Vec::new();
     let mut cur = p;
     loop {
+        if cur.spool.is_some() && !std::ptr::eq(cur, p) {
+            return None;
+        }
         match &cur.logical.kind {
             NodeKind::Filter { pred, .. } if !pred.is_volatile() => {
                 stages.push(cur);
@@ -410,10 +455,9 @@ fn filter_batch(
 }
 
 /// Projects one batch. `seq_base` is the global index of the batch's first
-/// row: setting the counter to `base + r` before each row reproduces the
-/// serial per-projection-site `SEQ8()` numbering (the serial executor holds
-/// the counter at `r` when row `r` starts; see `NodeKind::Project` in
-/// [`super::execute`]).
+/// row: the counter is set to `base + r` before row `r`, so `SEQ8()` numbers
+/// the rows of each projection site from zero in input order, whatever the
+/// batching and thread count.
 fn project_batch(
     exprs: &[PExpr],
     inp: &Chunk,
@@ -479,9 +523,9 @@ fn project_batch(
 fn exec_filter(p: &PhysNode<'_>, pred: &PExpr, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
     let input = execute_physical(&p.children[0], ctx)?;
     if pred.is_volatile() {
-        // Serial fallback keeps the SEQ8 stream identical to the reference
-        // executor (a volatile filter predicate does not occur in bound
-        // plans today, but must not silently change meaning if it does).
+        // One thread in row order keeps the SEQ8 stream deterministic (a
+        // volatile filter predicate does not occur in bound plans today, but
+        // must not silently change meaning if it does).
         let mut out = Vec::new();
         for c in &input {
             ctx.gov.checkpoint("Filter")?;
@@ -524,8 +568,7 @@ fn exec_project(
     let bases = row_bases(&input);
     // Volatile projections parallelize too: each batch knows its global row
     // base, so SEQ8 ids are assigned exactly as in serial row order. The
-    // per-worker context leaves the caller's counter untouched, mirroring the
-    // serial executor's save/restore.
+    // per-worker context leaves the caller's counter untouched.
     let gov = ctx.gov.clone();
     let vectorize = ctx.vectorize;
     let encode = ctx.encode;
@@ -549,7 +592,7 @@ fn exec_project(
 
 /// Flattens one batch. `row_base` is the global index of the batch's first
 /// row; the emitted `SEQ` column carries `row_base + r`, the parent row's
-/// index in the whole flatten input, as in the serial executor.
+/// index in the whole flatten input.
 fn flatten_batch(
     expr: &PExpr,
     outer: bool,
@@ -683,7 +726,7 @@ struct AggState {
 }
 
 impl AggState {
-    /// Folds one batch into the state (serial reference semantics: rows in
+    /// Folds one batch into the state (row-order semantics: rows in
     /// order, group entries keep insertion order, single-key fast path).
     fn fold(
         &mut self,
@@ -1079,13 +1122,12 @@ fn exec_join(
     p.metrics.peak(l_rows + r_rows);
     let start = Instant::now();
 
-    // The build side is materialized whole for O(1) row addressing — same
-    // memory shape as the serial executor.
+    // The build side is materialized whole for O(1) row addressing.
     let r = concat_batches(r_batches, ra);
     charge_batch(p, ctx, "Join", &r)?;
 
     if on.as_ref().is_some_and(PExpr::is_volatile) {
-        // Serial reference fallback for volatile join conditions.
+        // Volatile join conditions evaluate on one thread in row order.
         let l = concat_batches(l_batches, la);
         charge_batch(p, ctx, "Join", &l)?;
         let out = join_chunks(&l, &r, kind, on, ctx)?;
@@ -1311,9 +1353,8 @@ fn exec_sort(p: &PhysNode<'_>, keys: &[SortKey], ctx: &mut ExecCtx) -> Result<Ve
         )?
     };
 
-    // Global merge: a stable sort over (batch, row) in input order applies
-    // the exact comparator of the serial executor, so the permutation — and
-    // therefore tie order — is identical.
+    // Global merge: a stable sort over (batch, row) in input order, so the
+    // permutation — and therefore tie order — is that of a serial sort.
     let mut order: Vec<(u32, u32)> = Vec::with_capacity(in_rows);
     for (bi, c) in input.iter().enumerate() {
         for r in 0..c.rows {
@@ -1446,8 +1487,7 @@ fn exec_distinct(p: &PhysNode<'_>, ctx: &mut ExecCtx) -> Result<Vec<Chunk>> {
     let in_rows = total_rows(&input) as u64;
     p.metrics.add_rows_in(in_rows);
     p.metrics.peak(in_rows);
-    // One hash set over the batches in input order: first occurrence wins,
-    // as in the serial executor.
+    // One hash set over the batches in input order: first occurrence wins.
     let arity = batches_arity(&input, &p.children[0]);
     let mut seen = std::collections::HashSet::new();
     let mut out: Vec<Chunk> = Vec::new();

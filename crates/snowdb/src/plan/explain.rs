@@ -1,32 +1,36 @@
 //! Plan rendering for `EXPLAIN`, `EXPLAIN ANALYZE`, and debugging.
 
+use std::collections::HashMap;
 use std::fmt::Write;
 
-use std::collections::HashMap;
-
+use super::share::{shared_subplans, Share};
 use super::{AggExpr, AggKind, CastType, Node, NodeKind, PExpr, PStep};
 use crate::exec::metrics::OpMetrics;
 use crate::optimize::cost;
 use crate::sql::{BinOp, JoinKind, UnaryOp};
 
 /// Renders a bound plan as an indented operator tree, each line annotated
-/// with the cost model's estimated output rows and cumulative cost.
+/// with the cost model's estimated output rows and cumulative cost. A shared
+/// subplan prints once, under its first reference (marked `Spool#k uses=N`);
+/// each later reference is one `Reuse Spool#k` line.
 pub fn explain(node: &Node) -> String {
-    let ests = cost::estimate_map(node);
-    let mut out = String::new();
-    walk(node, 0, None, &ests, &mut out);
-    out
+    render(node, None)
 }
 
 /// Renders a bound plan annotated with measured per-operator metrics: the
 /// `EXPLAIN ANALYZE` body. The metrics tree mirrors the plan shape (it is the
-/// snapshot of the physical plan lowered from `node`), so the two are walked
-/// in lockstep. Estimated rows print next to measured ones so estimation
-/// error is visible per operator.
+/// snapshot of the physical plan lowered from `node`, where a reused subplan
+/// is a childless spool node), so the two are walked in lockstep. Estimated
+/// rows print next to measured ones so estimation error is visible per
+/// operator.
 pub fn explain_analyze(node: &Node, metrics: &OpMetrics) -> String {
-    let ests = cost::estimate_map(node);
+    render(node, Some(metrics))
+}
+
+fn render(node: &Node, metrics: Option<&OpMetrics>) -> String {
+    let plan = Plan { ests: cost::estimate_map(node), shares: shared_subplans(node) };
     let mut out = String::new();
-    walk(node, 0, Some(metrics), &ests, &mut out);
+    plan.walk(node, 0, metrics, &mut out);
     out
 }
 
@@ -36,24 +40,39 @@ fn indent(depth: usize, out: &mut String) {
     }
 }
 
-fn walk(
-    node: &Node,
-    depth: usize,
-    metrics: Option<&OpMetrics>,
-    ests: &HashMap<usize, (f64, f64)>,
-    out: &mut String,
-) {
-    indent(depth, out);
-    out.push_str(&node_line(node));
-    if let Some(&(rows, c)) = ests.get(&(node as *const Node as usize)) {
-        let _ = write!(out, "  (est_rows={rows:.0} cost={c:.0})");
-    }
-    if let Some(m) = metrics {
-        let _ = write!(out, "  [{}]", m.annotation());
-    }
-    out.push('\n');
-    for (i, child) in node.kind.inputs().into_iter().enumerate() {
-        walk(child, depth + 1, metrics.and_then(|m| m.children.get(i)), ests, out);
+/// Per-operator annotations of the plan being rendered, keyed by address.
+struct Plan {
+    ests: HashMap<usize, (f64, f64)>,
+    shares: HashMap<usize, Share>,
+}
+
+impl Plan {
+    fn walk(&self, node: &Node, depth: usize, metrics: Option<&OpMetrics>, out: &mut String) {
+        let key = node as *const Node as usize;
+        indent(depth, out);
+        let share = self.shares.get(&key).copied();
+        match share {
+            Some(Share::Reuse { id }) => {
+                let _ = write!(out, "Reuse Spool#{id}");
+            }
+            Some(Share::First { id, uses }) => {
+                let _ = write!(out, "{}  Spool#{id} uses={uses}", node_line(node));
+            }
+            None => out.push_str(&node_line(node)),
+        }
+        if let Some(&(rows, c)) = self.ests.get(&key) {
+            let _ = write!(out, "  (est_rows={rows:.0} cost={c:.0})");
+        }
+        if let Some(m) = metrics {
+            let _ = write!(out, "  [{}]", m.annotation());
+        }
+        out.push('\n');
+        if matches!(share, Some(Share::Reuse { .. })) {
+            return;
+        }
+        for (i, child) in node.kind.inputs().into_iter().enumerate() {
+            self.walk(child, depth + 1, metrics.and_then(|m| m.children.get(i)), out);
+        }
     }
 }
 

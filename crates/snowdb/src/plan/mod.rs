@@ -3,6 +3,7 @@
 pub mod binder;
 mod explain;
 pub mod physical;
+pub mod share;
 
 pub use binder::{bind_query, Catalog};
 pub use explain::{explain, explain_analyze, expr_str};
@@ -237,84 +238,47 @@ pub enum PExpr {
 }
 
 impl PExpr {
+    /// The expression's direct sub-expressions, in evaluation order.
+    pub fn children(&self) -> Vec<&PExpr> {
+        match self {
+            PExpr::Col(_) | PExpr::Lit(_) => Vec::new(),
+            PExpr::Unary { expr, .. }
+            | PExpr::Not(expr)
+            | PExpr::IsNull { expr, .. }
+            | PExpr::Cast { expr, .. } => vec![expr],
+            PExpr::Binary { left, right, .. } => vec![left, right],
+            PExpr::Like { expr, pattern, .. } => vec![expr, pattern],
+            PExpr::InList { expr, list, .. } => std::iter::once(&**expr).chain(list).collect(),
+            PExpr::Case { operand, branches, else_expr } => operand
+                .as_deref()
+                .into_iter()
+                .chain(branches.iter().flat_map(|(c, v)| [c, v]))
+                .chain(else_expr.as_deref())
+                .collect(),
+            PExpr::Func { args, .. } => args.iter().collect(),
+            PExpr::Path { base, steps } => std::iter::once(&**base)
+                .chain(steps.iter().filter_map(|s| match s {
+                    PStep::IndexExpr(e) => Some(&**e),
+                    _ => None,
+                }))
+                .collect(),
+        }
+    }
+
     /// Collects the column indices referenced by this expression.
     pub fn collect_cols(&self, out: &mut Vec<usize>) {
-        match self {
-            PExpr::Col(i) => out.push(*i),
-            PExpr::Lit(_) => {}
-            PExpr::Unary { expr, .. } | PExpr::Not(expr) | PExpr::IsNull { expr, .. } => {
-                expr.collect_cols(out)
-            }
-            PExpr::Binary { left, right, .. } => {
-                left.collect_cols(out);
-                right.collect_cols(out);
-            }
-            PExpr::InList { expr, list, .. } => {
-                expr.collect_cols(out);
-                for e in list {
-                    e.collect_cols(out);
-                }
-            }
-            PExpr::Case { operand, branches, else_expr } => {
-                if let Some(o) = operand {
-                    o.collect_cols(out);
-                }
-                for (c, v) in branches {
-                    c.collect_cols(out);
-                    v.collect_cols(out);
-                }
-                if let Some(e) = else_expr {
-                    e.collect_cols(out);
-                }
-            }
-            PExpr::Func { args, .. } => {
-                for a in args {
-                    a.collect_cols(out);
-                }
-            }
-            PExpr::Cast { expr, .. } => expr.collect_cols(out),
-            PExpr::Path { base, steps } => {
-                base.collect_cols(out);
-                for s in steps {
-                    if let PStep::IndexExpr(e) = s {
-                        e.collect_cols(out);
-                    }
-                }
-            }
-            PExpr::Like { expr, pattern, .. } => {
-                expr.collect_cols(out);
-                pattern.collect_cols(out);
-            }
+        if let PExpr::Col(i) = self {
+            out.push(*i);
+        }
+        for c in self.children() {
+            c.collect_cols(out);
         }
     }
 
     /// True when the expression contains a volatile function.
     pub fn is_volatile(&self) -> bool {
-        match self {
-            PExpr::Col(_) | PExpr::Lit(_) => false,
-            PExpr::Unary { expr, .. } | PExpr::Not(expr) | PExpr::IsNull { expr, .. } => {
-                expr.is_volatile()
-            }
-            PExpr::Binary { left, right, .. } => left.is_volatile() || right.is_volatile(),
-            PExpr::InList { expr, list, .. } => {
-                expr.is_volatile() || list.iter().any(PExpr::is_volatile)
-            }
-            PExpr::Case { operand, branches, else_expr } => {
-                operand.as_deref().is_some_and(PExpr::is_volatile)
-                    || branches.iter().any(|(c, v)| c.is_volatile() || v.is_volatile())
-                    || else_expr.as_deref().is_some_and(PExpr::is_volatile)
-            }
-            PExpr::Func { f, args } => f.is_volatile() || args.iter().any(PExpr::is_volatile),
-            PExpr::Cast { expr, .. } => expr.is_volatile(),
-            PExpr::Path { base, steps } => {
-                base.is_volatile()
-                    || steps.iter().any(|s| match s {
-                        PStep::IndexExpr(e) => e.is_volatile(),
-                        _ => false,
-                    })
-            }
-            PExpr::Like { expr, pattern, .. } => expr.is_volatile() || pattern.is_volatile(),
-        }
+        matches!(self, PExpr::Func { f, .. } if f.is_volatile())
+            || self.children().into_iter().any(PExpr::is_volatile)
     }
 
     /// Rewrites column references through a substitution table mapping the

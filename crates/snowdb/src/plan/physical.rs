@@ -10,8 +10,20 @@
 //! The physical tree borrows the logical plan rather than copying it: operator
 //! semantics stay defined in one place and lowering stays cheap enough to run
 //! per query.
+//!
+//! Lowering also executes each shared subplan once. The roots of repeated
+//! subtrees ([`shared_subplans`]) get a per-query [`Spool`]: the first
+//! reference lowers (and later runs) its subtree and fills the spool, every
+//! later reference lowers to a childless reuse node that reads it.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use crate::exec::metrics::{OpMetrics, OpMetricsCell};
+use crate::exec::Chunk;
+use crate::plan::share::{shared_subplans, Share};
 use crate::plan::{Node, NodeKind};
 
 /// One operator of the physical plan.
@@ -29,12 +41,101 @@ pub struct PhysNode<'a> {
     pub parallelism: usize,
     /// Concurrent metric counters, snapshotted after execution.
     pub metrics: OpMetricsCell,
+    /// Set when this operator is the root of a shared subplan.
+    pub spool: Option<Spooled>,
+}
+
+/// The role of a shared-subplan root in execution.
+#[derive(Debug)]
+pub enum Spooled {
+    /// Runs the operator and fills the spool.
+    First(Arc<Spool>),
+    /// Reads the spool filled by the first reference; has no children.
+    Reuse(Arc<Spool>),
+}
+
+/// The materialized result of one shared subplan, held for the duration of
+/// one query execution.
+#[derive(Debug)]
+pub struct Spool {
+    /// 1-based spool number, as `EXPLAIN` prints it.
+    pub(crate) id: usize,
+    /// References reading this spool, the first included.
+    uses: usize,
+    state: Mutex<SpoolState>,
+}
+
+#[derive(Debug, Default)]
+struct SpoolState {
+    batches: Option<Vec<Chunk>>,
+    left: usize,
+}
+
+impl Spool {
+    fn new(id: usize, uses: usize) -> Spool {
+        Spool { id, uses, state: Mutex::default() }
+    }
+
+    /// Stores the first reference's result for this execution.
+    pub(crate) fn fill(&self, batches: Vec<Chunk>) {
+        let mut st = self.state.lock();
+        *st = SpoolState { batches: Some(batches), left: self.uses };
+    }
+
+    /// Hands one reference its batches: a clone while later references
+    /// remain (`true`), the batches themselves to the last one (`false`),
+    /// which frees the spool. `None` when the spool is not filled.
+    pub(crate) fn take(&self) -> Option<(Vec<Chunk>, bool)> {
+        let mut st = self.state.lock();
+        st.left = st.left.checked_sub(1)?;
+        if st.left == 0 {
+            st.batches.take().map(|b| (b, false))
+        } else {
+            st.batches.clone().map(|b| (b, true))
+        }
+    }
 }
 
 /// Lowers a logical plan for execution with `threads` workers.
 pub fn lower(plan: &Node, threads: usize) -> PhysNode<'_> {
-    let threads = threads.max(1);
-    let children = plan.kind.inputs().into_iter().map(|c| lower(c, threads)).collect();
+    let shares = shared_subplans(plan);
+    lower_node(plan, threads.max(1), &shares, &mut HashMap::new())
+}
+
+fn lower_node<'a>(
+    plan: &'a Node,
+    threads: usize,
+    shares: &HashMap<usize, Share>,
+    spools: &mut HashMap<usize, Arc<Spool>>,
+) -> PhysNode<'a> {
+    let spool = match shares.get(&(plan as *const Node as usize)) {
+        None => None,
+        Some(&Share::First { id, uses }) => {
+            let spool = Arc::new(Spool::new(id, uses));
+            spools.insert(id, spool.clone());
+            Some(Spooled::First(spool))
+        }
+        Some(&Share::Reuse { id }) => {
+            let spool = spools
+                .get(&id)
+                .expect("lowering visits a first reference before its reuses")
+                .clone();
+            return PhysNode {
+                logical: plan,
+                children: Vec::new(),
+                breaker: true,
+                parallelism: 1,
+                metrics: OpMetricsCell::default(),
+                spool: Some(Spooled::Reuse(spool)),
+            };
+        }
+    };
+    let children = plan
+        .kind
+        .inputs()
+        .into_iter()
+        .map(|c| lower_node(c, threads, shares, spools))
+        .collect();
     let (breaker, parallelism) = match &plan.kind {
         // Scans parallelize across micro-partitions (the morsel unit), so a
         // table with fewer partitions than workers caps the useful degree.
@@ -59,12 +160,22 @@ pub fn lower(plan: &Node, threads: usize) -> PhysNode<'_> {
             (true, 1)
         }
     };
-    PhysNode { logical: plan, children, breaker, parallelism, metrics: OpMetricsCell::default() }
+    PhysNode {
+        logical: plan,
+        children,
+        breaker,
+        parallelism,
+        metrics: OpMetricsCell::default(),
+        spool,
+    }
 }
 
 impl PhysNode<'_> {
     /// Short operator label used in metrics and `EXPLAIN ANALYZE`.
     pub fn op_name(&self) -> String {
+        if let Some(Spooled::Reuse(_)) = self.spool {
+            return "Spool".into();
+        }
         match &self.logical.kind {
             NodeKind::Scan { table, .. } => format!("Scan {}", table.name()),
             NodeKind::Values => "Values".into(),

@@ -23,6 +23,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use super::lock;
 use crate::exec::column::ColumnVec;
 
 /// Default cache capacity: 64 MiB of in-memory column data.
@@ -97,7 +98,7 @@ impl BufferCache {
     /// Changes the capacity; an immediate eviction pass enforces it.
     pub fn set_capacity(&self, bytes: u64) {
         self.capacity.store(bytes, Ordering::Relaxed);
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = lock(&self.inner);
         let evicted = evict_to_fit(&mut inner, bytes, 0);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
@@ -108,7 +109,7 @@ impl BufferCache {
 
     /// Looks up a block, bumping its recency on a hit.
     pub fn get(&self, key: BlockKey) -> Option<Arc<ColumnVec>> {
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = lock(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
         match inner.map.get_mut(&key) {
@@ -133,7 +134,7 @@ impl BufferCache {
         if bytes > capacity {
             return 0;
         }
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = lock(&self.inner);
         let evicted = evict_to_fit(&mut inner, capacity, bytes);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
         inner.tick += 1;
@@ -147,14 +148,14 @@ impl BufferCache {
 
     /// Drops every entry (used by the cold-scan benchmark and tests).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = lock(&self.inner);
         inner.map.clear();
         inner.used = 0;
     }
 
     /// Global counters plus current residency.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("cache lock");
+        let inner = lock(&self.inner);
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),

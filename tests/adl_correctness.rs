@@ -159,3 +159,24 @@ fn histogram_counts_match_event_totals() {
         .sum();
     assert_eq!(total, 500);
 }
+
+#[test]
+fn generated_q6_builds_its_triplets_once() {
+    // The JOIN-based translation repeats the triplet subquery on both sides
+    // of its row-id joins; execution spools the shared subtrees, so the
+    // triplet aggregate runs once and the table is scanned once.
+    let db = test_db(300);
+    let q = adl::queries::q6("hep");
+    let gen = translate_query(db.clone(), &q.jsoniq, NestedStrategy::JoinBased).unwrap();
+    let text = db.explain_analyze(gen.sql()).unwrap();
+    let triplets: Vec<&str> =
+        text.lines().filter(|l| l.contains("ARRAY_AGG(ObjectConstruct(\"D\"")).collect();
+    assert_eq!(triplets.len(), 1, "{text}");
+    assert!(!triplets[0].contains("rows=0 "), "{text}");
+    assert!(text.contains("Reuse Spool#"), "{text}");
+
+    // ROADMAP item 4's bound: generated bytes scanned ≤ 2× handwritten.
+    let g = db.query(gen.sql()).unwrap().profile.scan.bytes_scanned;
+    let h = db.query(&q.handwritten_sql).unwrap().profile.scan.bytes_scanned;
+    assert!(g > 0 && g <= 2 * h, "generated {g} vs handwritten {h} bytes");
+}
